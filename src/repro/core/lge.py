@@ -21,13 +21,14 @@ extrapolated to the end of training (``K_n``) for reporting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.irt.difficulty import difficulty_from_accuracy
-from repro.irt.fitting import AlphaFitObservation, fit_learning_rate
+from repro.irt.fitting import AlphaFitBatch, fit_learning_rate_batch
 from repro.irt.learning_curve import LearningCurveModel
+from repro.irt.rasch import sigmoid
 
 
 @dataclass
@@ -75,6 +76,8 @@ class LGEConfig:
         if not 0.0 < self.target_initial_accuracy < 1.0:
             raise ValueError("target_initial_accuracy must lie in (0, 1)")
         low, high = self.alpha_bounds
+        if not (np.isfinite(low) and np.isfinite(high)):
+            raise ValueError(f"alpha_bounds must be finite, got {self.alpha_bounds}")
         if high <= low:
             raise ValueError("alpha_bounds must satisfy low < high")
         if self.prior_anchor_weight < 0 or self.target_anchor_weight < 0:
@@ -124,49 +127,92 @@ class LearningGainEstimator:
         return dict(self._fitted_alphas)
 
     # ------------------------------------------------------------------ #
-    def _observations_for_worker(
+    def _observation_batch(
         self,
-        historical_accuracies: np.ndarray,
-        historical_counts: np.ndarray,
-        cpe_history: Sequence[float],
+        accuracies: np.ndarray,
+        counts: np.ndarray,
+        histories: Sequence[Sequence[float]],
         cumulative_exposures: Sequence[float],
-    ) -> List[AlphaFitObservation]:
-        """Assemble the Eq. (11) residual terms for one worker."""
-        observations: List[AlphaFitObservation] = []
-        by_exposure = self._config.weight_anchors_by_exposure
-        for domain_index in range(len(self._prior_domains)):
-            accuracy = historical_accuracies[domain_index]
-            if np.isnan(accuracy):
-                continue  # Section IV-E: drop terms for missing prior domains.
-            exposure = float(max(historical_counts[domain_index], 0.0))
-            weight = self._config.prior_anchor_weight * (exposure if by_exposure else 1.0)
-            observations.append(
-                AlphaFitObservation(
-                    exposure=exposure,
-                    difficulty=float(self._prior_difficulties[domain_index]),
-                    observed_accuracy=float(accuracy),
-                    weight=weight,
-                )
-            )
-        for stage_index, cpe_estimate in enumerate(cpe_history, start=1):
-            exposure_before_stage = float(cumulative_exposures[stage_index - 1])
-            exposure_after_stage = float(cumulative_exposures[stage_index])
-            anchor_exposure = (
-                0.5 * (exposure_before_stage + exposure_after_stage)
-                if self._config.anchor_at_midpoint
-                else exposure_before_stage
-            )
-            round_tasks = max(exposure_after_stage - exposure_before_stage, 0.0)
-            weight = self._config.target_anchor_weight * (round_tasks if by_exposure else 1.0)
-            observations.append(
-                AlphaFitObservation(
-                    exposure=anchor_exposure,
-                    difficulty=self._config.target_difficulty,
-                    observed_accuracy=float(np.clip(cpe_estimate, 0.0, 1.0)),
-                    weight=weight,
-                )
-            )
-        return observations
+    ) -> AlphaFitBatch:
+        """The Eq. (11) terms of every worker as ``(workers x (D + C))`` arrays.
+
+        Column ``d < D`` is the prior-domain-``d`` anchor: the prediction at
+        exposure ``max(n_{i,d}, 0)`` and difficulty ``beta_d`` should match
+        ``h_{i,d}``.  Column ``D + j - 1`` is the round-``j`` target anchor:
+        the prediction at the round's anchor exposure and ``beta_T`` should
+        match the clipped CPE estimate ``p_{j,i}``.  Each term is weighted by
+        its anchor weight, times its task count when
+        ``weight_anchors_by_exposure``.  Missing prior domains (NaN accuracy,
+        Section IV-E) and rounds past a worker's history become zero-weight
+        terms.  :class:`AlphaFitBatch` rejects non-finite terms.
+        """
+        config = self._config
+        n_domains = len(self._prior_domains)
+        if accuracies.shape[1] < n_domains or counts.shape[1] < n_domains:
+            raise ValueError(f"historical matrices need at least {n_domains} domain columns")
+        accuracies = accuracies[:, :n_domains]
+        counts = counts[:, :n_domains]
+        n_workers = accuracies.shape[0]
+        lengths = np.array([len(history) for history in histories], dtype=int)
+        n_stages = int(lengths.max(initial=0))
+        if len(cumulative_exposures) < n_stages + 1:
+            raise ValueError("cumulative_exposures must have exactly one more entry than cpe_history")
+
+        # Prior-domain anchors.  Negative counts clamp to 0 but NaN stays NaN,
+        # so a NaN count next to a present accuracy fails validation.
+        present = ~np.isnan(accuracies)
+        prior_exposures = np.where(counts < 0.0, 0.0, counts)
+        prior_weights = config.prior_anchor_weight * (
+            prior_exposures if config.weight_anchors_by_exposure else np.ones_like(prior_exposures)
+        )
+
+        # Target-domain anchors, shared by all workers up to each history length.
+        cumulative = np.asarray(cumulative_exposures[: n_stages + 1], dtype=float)
+        before, after = cumulative[:-1], cumulative[1:]
+        anchors = 0.5 * (before + after) if config.anchor_at_midpoint else before
+        round_tasks = after - before
+        round_tasks = np.where(round_tasks < 0.0, 0.0, round_tasks)
+        target_weights = config.target_anchor_weight * (
+            round_tasks if config.weight_anchors_by_exposure else np.ones_like(round_tasks)
+        )
+        cpe = np.zeros((n_workers, n_stages))
+        for row, history in enumerate(histories):
+            cpe[row, : len(history)] = history
+        in_history = np.arange(n_stages) < lengths[:, None]
+
+        exposures = np.hstack([np.where(present, prior_exposures, 0.0), np.broadcast_to(anchors, cpe.shape)])
+        difficulties = np.hstack(
+            [
+                np.broadcast_to(self._prior_difficulties, accuracies.shape),
+                np.full(cpe.shape, config.target_difficulty),
+            ]
+        )
+        observed = np.hstack(
+            [np.where(present, accuracies, 0.0), np.where(in_history, np.clip(cpe, 0.0, 1.0), 0.0)]
+        )
+        weights = np.hstack([np.where(present, prior_weights, 0.0), np.where(in_history, target_weights, 0.0)])
+        return AlphaFitBatch(
+            exposures=exposures,
+            difficulties=difficulties,
+            observed_accuracies=observed,
+            weights=weights,
+            has_observations=present.any(axis=1) | (lengths > 0),
+        )
+
+    def _fit_rows(
+        self,
+        worker_ids: Sequence[str],
+        accuracies: np.ndarray,
+        counts: np.ndarray,
+        histories: Sequence[Sequence[float]],
+        cumulative_exposures: Sequence[float],
+    ) -> np.ndarray:
+        """Fit, store and return the learning rates of all rows in one batch."""
+        batch = self._observation_batch(accuracies, counts, histories, cumulative_exposures)
+        alphas = fit_learning_rate_batch(batch, bounds=self._config.alpha_bounds)
+        for worker_id, alpha in zip(worker_ids, alphas.tolist()):
+            self._fitted_alphas[worker_id] = alpha
+        return alphas
 
     def fit_worker(
         self,
@@ -177,6 +223,8 @@ class LearningGainEstimator:
         cumulative_exposures: Sequence[float],
     ) -> float:
         """Fit and store the learning rate ``alpha_i`` for one worker.
+
+        The one-row case of the batched fit behind :meth:`estimate`.
 
         Parameters
         ----------
@@ -189,15 +237,14 @@ class LearningGainEstimator:
         """
         if len(cumulative_exposures) != len(cpe_history) + 1:
             raise ValueError("cumulative_exposures must have exactly one more entry than cpe_history")
-        observations = self._observations_for_worker(
-            np.asarray(historical_accuracies, dtype=float),
-            np.asarray(historical_counts, dtype=float),
-            cpe_history,
+        alphas = self._fit_rows(
+            [worker_id],
+            np.atleast_2d(np.asarray(historical_accuracies, dtype=float)),
+            np.atleast_2d(np.asarray(historical_counts, dtype=float)),
+            [list(cpe_history)],
             cumulative_exposures,
         )
-        alpha = fit_learning_rate(observations, bounds=self._config.alpha_bounds)
-        self._fitted_alphas[worker_id] = alpha
-        return alpha
+        return float(alphas[0])
 
     def predict_worker(self, worker_id: str, exposure: float) -> float:
         """Learning-curve prediction for a previously fitted worker."""
@@ -250,13 +297,13 @@ class LearningGainEstimator:
             if prediction_exposure is not None
             else float(cumulative_exposures[-1])
         )
-        estimates = np.zeros(len(worker_ids))
-        for row, worker_id in enumerate(worker_ids):
-            history = list(cpe_histories.get(worker_id, []))
-            usable_exposures = list(cumulative_exposures[: len(history) + 1])
-            self.fit_worker(worker_id, accuracies[row], counts[row], history, usable_exposures)
-            estimates[row] = self.predict_worker(worker_id, exposure)
-        return estimates
+        if len(worker_ids) == 0:
+            return np.zeros(0)
+        if exposure < 0:
+            raise ValueError("exposure (cumulative learning tasks) must be non-negative")
+        histories = [list(cpe_histories.get(worker_id, [])) for worker_id in worker_ids]
+        alphas = self._fit_rows(worker_ids, accuracies, counts, histories, cumulative_exposures)
+        return sigmoid(alphas * np.log1p(exposure) - self._config.target_difficulty)
 
 
 __all__ = ["LGEConfig", "LearningGainEstimator"]

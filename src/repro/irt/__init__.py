@@ -24,7 +24,7 @@ per-domain difficulty.  This package provides:
 
 from repro.irt.bkt import BayesianKnowledgeTracing
 from repro.irt.difficulty import accuracy_from_difficulty, difficulty_from_accuracy
-from repro.irt.fitting import AlphaFitObservation, fit_learning_rate
+from repro.irt.fitting import AlphaFitBatch, AlphaFitObservation, fit_learning_rate, fit_learning_rate_batch
 from repro.irt.learning_curve import LearningCurveModel, cumulative_learning_tasks
 from repro.irt.pfa import PerformanceFactorModel
 from repro.irt.rasch import RaschModel, sigmoid
@@ -37,7 +37,9 @@ __all__ = [
     "difficulty_from_accuracy",
     "accuracy_from_difficulty",
     "AlphaFitObservation",
+    "AlphaFitBatch",
     "fit_learning_rate",
+    "fit_learning_rate_batch",
     "BayesianKnowledgeTracing",
     "PerformanceFactorModel",
 ]

@@ -29,6 +29,7 @@ from repro.stats.optimize import (
     finite_difference_gradient,
     gradient_descent,
     minimize_scalar_bounded,
+    minimize_scalar_bounded_batch,
 )
 from repro.stats.quadrature import GaussLegendreRule, unit_interval_rule
 from repro.stats.rng import as_generator, spawn_generators
@@ -47,6 +48,7 @@ __all__ = [
     "finite_difference_gradient",
     "gradient_descent",
     "minimize_scalar_bounded",
+    "minimize_scalar_bounded_batch",
     "sample_truncated_mvn",
     "sample_truncated_normal",
     "truncated_normal_mean",

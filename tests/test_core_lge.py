@@ -37,6 +37,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             LGEConfig(prior_anchor_weight=-1.0)
 
+    @pytest.mark.parametrize("bounds", [(0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0), (0.0, np.nan)])
+    def test_non_finite_bounds_rejected(self, bounds):
+        with pytest.raises(ValueError, match="finite"):
+            LGEConfig(alpha_bounds=bounds)
+
 
 class TestFitWorker:
     def test_exposure_history_length_validated(self):
@@ -115,6 +120,42 @@ class TestEstimateBatch:
         near = estimator.estimate(worker_ids, accuracies, counts, histories, [0.0, 10.0], prediction_exposure=10.0)
         far = estimator.estimate(worker_ids, accuracies, counts, histories, [0.0, 10.0], prediction_exposure=200.0)
         assert np.all(far >= near - 1e-9)
+
+    def test_nan_task_count_next_to_present_accuracy_rejected(self):
+        # A NaN count used to slip through as a NaN exposure and drag the
+        # fit to alpha = 0 (estimate 0.5) without any error.
+        estimator = make_estimator()
+        worker_ids, accuracies, counts = self.worker_matrices()
+        counts[1, 0] = np.nan
+        histories = {"w0": [0.8], "w1": [0.6], "w2": [0.45]}
+        with pytest.raises(ValueError, match="finite"):
+            estimator.estimate(worker_ids, accuracies, counts, histories, [0.0, 10.0])
+
+    def test_nan_task_count_of_missing_domain_ignored(self):
+        estimator = make_estimator()
+        worker_ids, accuracies, counts = self.worker_matrices()
+        histories = {"w0": [0.8], "w1": [0.6], "w2": [0.45]}
+        reference = estimator.estimate(worker_ids, accuracies.copy(), counts, histories, [0.0, 10.0])
+        accuracies[1, 0] = np.nan
+        counts[1, 0] = np.nan
+        estimates = estimator.estimate(worker_ids, accuracies, counts, histories, [0.0, 10.0])
+        assert np.isfinite(estimates).all()
+        assert estimates[0] == reference[0]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_cumulative_exposure_rejected(self, value):
+        estimator = make_estimator()
+        worker_ids, accuracies, counts = self.worker_matrices()
+        histories = {"w0": [0.8], "w1": [0.6], "w2": [0.45]}
+        with pytest.raises(ValueError):
+            estimator.estimate(worker_ids, accuracies, counts, histories, [0.0, value])
+
+    def test_history_longer_than_exposures_rejected(self):
+        estimator = make_estimator()
+        worker_ids, accuracies, counts = self.worker_matrices()
+        histories = {"w0": [0.8, 0.9], "w1": [0.6], "w2": [0.45]}
+        with pytest.raises(ValueError, match="one more entry"):
+            estimator.estimate(worker_ids, accuracies, counts, histories, [0.0, 10.0])
 
     def test_fitted_alphas_recorded(self):
         estimator = make_estimator()

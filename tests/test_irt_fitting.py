@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.irt.fitting import AlphaFitObservation, fit_learning_rate, sum_of_squares
+from repro.irt.fitting import AlphaFitBatch, AlphaFitObservation, fit_learning_rate, sum_of_squares
 from repro.irt.learning_curve import LearningCurveModel
 
 
@@ -29,6 +29,56 @@ class TestObservationValidation:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             AlphaFitObservation(exposure=1.0, difficulty=0.0, observed_accuracy=0.5, weight=-1.0)
+
+    @pytest.mark.parametrize("field", ["exposure", "difficulty", "weight"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, field, value):
+        # ``nan < 0`` is False, so a plain sign check would let NaN through.
+        values = {"exposure": 10.0, "difficulty": 0.0, "observed_accuracy": 0.7, "weight": 1.0}
+        values[field] = value
+        with pytest.raises(ValueError, match="finite"):
+            AlphaFitObservation(**values)
+
+    def test_nan_accuracy_rejected(self):
+        with pytest.raises(ValueError):
+            AlphaFitObservation(exposure=1.0, difficulty=0.0, observed_accuracy=np.nan)
+
+
+class TestBatchValidation:
+    def good_arrays(self):
+        return {
+            "exposures": np.array([[10.0, 0.0]]),
+            "difficulties": np.array([[0.0, 0.5]]),
+            "observed_accuracies": np.array([[0.7, 0.0]]),
+            "weights": np.array([[1.0, 0.0]]),
+            "has_observations": np.array([True]),
+        }
+
+    def test_valid_arrays_accepted(self):
+        assert AlphaFitBatch(**self.good_arrays()).n_workers == 1
+
+    @pytest.mark.parametrize("field", ["exposures", "difficulties", "observed_accuracies", "weights"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_entries_rejected(self, field, value):
+        arrays = self.good_arrays()
+        arrays[field][0, 1] = value
+        with pytest.raises(ValueError):
+            AlphaFitBatch(**arrays)
+
+    @pytest.mark.parametrize(
+        ("field", "value"), [("exposures", -1.0), ("weights", -0.5), ("observed_accuracies", 1.5)]
+    )
+    def test_out_of_range_entries_rejected(self, field, value):
+        arrays = self.good_arrays()
+        arrays[field][0, 0] = value
+        with pytest.raises(ValueError):
+            AlphaFitBatch(**arrays)
+
+    def test_shapes_checked(self):
+        arrays = self.good_arrays()
+        arrays["weights"] = np.ones((1, 3))
+        with pytest.raises(ValueError, match="shape"):
+            AlphaFitBatch(**arrays)
 
 
 class TestFit:
