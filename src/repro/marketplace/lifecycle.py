@@ -245,18 +245,30 @@ class CampaignHandle:
         )
 
     def _deliver_due_answers(self, tick: int) -> List[List[object]]:
+        """Deliver every answer due by ``tick``, drawn as one batch.
+
+        Filtering the due votes up front is equivalent to checking each
+        vote just before recording it: ``record_answer`` only fills its
+        own ``(task, worker)`` slot, and the ``_finalize`` it may trigger
+        retires a task only once every expected vote on it is in, then
+        merely demotes tiers.  Neither un-awaits another scheduled vote
+        (a ``(task, worker)`` pair is scheduled once per serving segment).
+        """
         assert self.service is not None
-        delivered: List[List[object]] = []
+        due: List[Tuple[str, str]] = []
         while self._scheduled and self._scheduled[0][0] <= tick:
             _, task_id, worker_id = self._scheduled.popleft()
-            if not self.service.is_awaiting(task_id, worker_id):
-                # The vote was invalidated (departure) after scheduling.
-                continue
-            task = self._task_by_id[task_id]
-            answer = self._marketplace.answer(worker_id, task, self.spec.name)
+            # A vote invalidated (departure) after scheduling is dropped here.
+            if self.service.is_awaiting(task_id, worker_id):
+                due.append((task_id, worker_id))
+        answers = self._marketplace.answers(
+            [(worker_id, self._task_by_id[task_id]) for task_id, worker_id in due], self.spec.name
+        )
+        delivered: List[List[object]] = []
+        for (task_id, worker_id), answer in zip(due, answers):
             self.service.record_answer(task_id, worker_id, answer)
-            self.answers_delivered += 1
-            delivered.append([task_id, worker_id, bool(answer)])
+            delivered.append([task_id, worker_id, answer])
+        self.answers_delivered += len(delivered)
         return delivered
 
     def _next_task(self) -> Optional[Task]:

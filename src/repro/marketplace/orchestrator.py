@@ -31,7 +31,9 @@ continuing where the file ends.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.marketplace.churn import ChurnConfig, ChurnModel
 from repro.marketplace.journal import (
@@ -42,6 +44,7 @@ from repro.marketplace.journal import (
 from repro.marketplace.lifecycle import CampaignHandle, CampaignPhase, CampaignSpec
 from repro.campaign import SelectionManifest
 from repro.obs.timing import perf_counter
+from repro.platform.answers import behavior_accuracy_matrix
 from repro.platform.tasks import Task
 from repro.serving.pool import ServingWorker
 from repro.serving.qualification import (
@@ -82,6 +85,9 @@ def simulate_answer(
     contract the sharded tick engine relies on to simulate answers inside
     shard processes without consulting the parent's
     :class:`Marketplace`.
+
+    This is the executable specification of :func:`simulate_answers`,
+    which both tick engines use; the tests hold the two equal with ``==``.
     """
     if behavior is not None and task.domain == target_domain:
         accuracy = float(behavior.accuracy_at(exposure_offset + answer_count))
@@ -94,6 +100,51 @@ def simulate_answer(
     )[0, 0]
     correct = bool(draw < accuracy)
     return bool(task.gold_label) if correct else not bool(task.gold_label)
+
+
+def simulate_answers(
+    answer_seed: int,
+    campaign: str,
+    workers: Sequence[object],
+    tasks: Sequence[Task],
+    answer_counts: Sequence[int],
+) -> List[bool]:
+    """A batch of answers for one campaign, equal to :func:`simulate_answer` each.
+
+    ``workers[i]`` answers ``tasks[i]`` as its ``answer_counts[i]``-th answer
+    for ``campaign``; each worker is a profile carrying ``worker_id``,
+    ``behavior``, ``target_domain``, ``accuracies`` and ``exposure_offset``
+    (a :class:`MarketWorker` or a shard's wire copy).  Curve accuracies come
+    from one :func:`~repro.platform.answers.behavior_accuracy_matrix` call,
+    the stream seeds from one :func:`~repro.stats.rng.stream_seeds` call and
+    the draws from one :func:`~repro.stats.rng.counter_uniforms` call with
+    per-stream offsets.  All three are elementwise, so answer ``i`` is
+    bit-identical to the scalar call with the same inputs.
+    """
+    if not tasks:
+        return []
+    accuracy = np.empty(len(tasks))
+    curve_rows: List[int] = []
+    curve_behaviors: List[object] = []
+    curve_exposures: List[float] = []
+    for index, (worker, task, count) in enumerate(zip(workers, tasks, answer_counts)):
+        if worker.behavior is not None and task.domain == worker.target_domain:
+            curve_rows.append(index)
+            curve_behaviors.append(worker.behavior)
+            curve_exposures.append(worker.exposure_offset + count)
+        else:
+            accuracy[index] = worker.accuracies.get(task.domain, 0.5)
+    if curve_rows:
+        exposures = np.asarray(curve_exposures, dtype=float)[:, None]
+        accuracy[curve_rows] = behavior_accuracy_matrix(curve_behaviors, exposures)[:, 0]
+    seeds = stream_seeds(
+        answer_seed,
+        token_hashes([worker.worker_id for worker in workers]),
+        int(token_hashes([campaign])[0]),
+    )
+    draws = counter_uniforms(seeds, 1, offset=np.asarray(answer_counts, dtype=np.int64))[:, 0]
+    correct = (draws < accuracy).tolist()
+    return [bool(task.gold_label) == hit for task, hit in zip(tasks, correct)]
 
 
 @dataclass(frozen=True)
@@ -355,28 +406,42 @@ class Marketplace:
         qualification policy.  A worker landing in the unqualified tier is
         turned away; an admitted worker joins the pool of every *serving*
         campaign whose domain it qualifies on.
+
+        The tick's prestudies are evaluated as one batch: every arrival's
+        curve at exposures ``0 .. prestudy_questions`` (the last point is
+        its admitted accuracy) in one accuracy-matrix call, and every
+        arrival's question draws in one counter-based call.  Each arrival
+        has its own sampling seed and stream, so this equals answering
+        the prestudies one by one.
         """
+        if count <= 0:
+            return []
         policy = self._config.qualification
         n_questions = self._config.prestudy_questions
         target = self._population.target_domain
-        events: List[Dict[str, object]] = []
-        for _ in range(count):
-            index = self._arrival_index
-            self._arrival_index += 1
-            behavior = sample_learning_population(
+        start = self._arrival_index
+        self._arrival_index += count
+        arrivals = [
+            sample_learning_population(
                 self._population,
                 1,
                 rng=derive_seed(self._seed, "marketplace", "arrival", index),
                 id_prefix=ARRIVAL_PREFIX,
                 id_offset=index,
             )[0]
+            for index in range(start, start + count)
+        ]
+        curves = behavior_accuracy_matrix(
+            arrivals, np.broadcast_to(np.arange(n_questions + 1, dtype=float), (count, n_questions + 1))
+        )
+        uniforms = counter_uniforms(
+            stream_seeds(self._prestudy_seed, token_hashes([b.profile.worker_id for b in arrivals])),
+            n_questions,
+        )
+        corrects = np.count_nonzero(uniforms < curves[:, :n_questions], axis=1).tolist()
+        events: List[Dict[str, object]] = []
+        for behavior, correct, admitted_accuracy in zip(arrivals, corrects, curves[:, n_questions].tolist()):
             gid = behavior.profile.worker_id
-            uniforms = counter_uniforms(
-                stream_seeds(self._prestudy_seed, token_hashes([gid])), n_questions
-            )[0]
-            correct = sum(
-                int(uniforms[i] < behavior.accuracy_at(float(i))) for i in range(n_questions)
-            )
             observed = correct / n_questions
             tier = policy.qualify(observed, n_questions)
             admitted = tier > QualificationTier.UNQUALIFIED
@@ -395,7 +460,7 @@ class Marketplace:
             qualifications = {
                 target: qualification_for(policy, gid, target, estimate=observed, questions=n_questions)
             }
-            accuracies = {target: float(behavior.accuracy_at(float(n_questions)))}
+            accuracies = {target: admitted_accuracy}
             profile = behavior.profile
             for domain in profile.domains:
                 qualifications[domain] = qualification_for(
@@ -472,22 +537,29 @@ class Marketplace:
         follows the worker's behaviour curve at its current per-campaign
         exposure when one is registered (so drifters decay and learners
         improve mid-serving); other domains use the static registered
-        accuracy, 0.5 when unknown.
+        accuracy, 0.5 when unknown.  A one-item :meth:`answers` batch.
         """
-        worker = self._workers[worker_id]
-        count = worker.answer_counts.get(campaign, 0)
-        worker.answer_counts[campaign] = count + 1
-        return simulate_answer(
-            self._answer_seed,
-            worker_id,
-            campaign,
-            task,
-            behavior=worker.behavior,
-            target_domain=worker.target_domain,
-            accuracies=worker.accuracies,
-            exposure_offset=worker.exposure_offset,
-            answer_count=count,
-        )
+        return self.answers([(worker_id, task)], campaign)[0]
+
+    def answers(self, pairs: Sequence[Tuple[str, Task]], campaign: str) -> List[bool]:
+        """Answers of ``(worker_id, task)`` pairs for ``campaign``, in order.
+
+        Equal to calling :meth:`answer` on each pair in turn: the
+        per-campaign answer counts advance in pair order (a worker listed
+        twice gets consecutive draws), then :func:`simulate_answers`
+        draws the whole batch at once.
+        """
+        workers: List[MarketWorker] = []
+        tasks: List[Task] = []
+        counts: List[int] = []
+        for worker_id, task in pairs:
+            worker = self._workers[worker_id]
+            count = worker.answer_counts.get(campaign, 0)
+            worker.answer_counts[campaign] = count + 1
+            workers.append(worker)
+            tasks.append(task)
+            counts.append(count)
+        return simulate_answers(self._answer_seed, campaign, workers, tasks, counts)
 
     def requalify(self, handle: CampaignHandle, tick: int) -> List[ServingWorker]:
         """Re-qualify a campaign's candidates from live serving evidence.
@@ -816,6 +888,7 @@ __all__ = [
     "ARRIVAL_PREFIX",
     "TICK_ENGINES",
     "simulate_answer",
+    "simulate_answers",
     "MarketplaceConfig",
     "MarketWorker",
     "Marketplace",

@@ -33,7 +33,7 @@ code over lightweight :class:`CommitCampaign` adapters, computes
 invalidation records with the true routers, and ships the records plus
 joined/departed workers to the shards, which replay them verbatim.
 Answer draws are per ``(campaign, worker)`` counter streams
-(:func:`repro.marketplace.orchestrator.simulate_answer`), so a shard can
+(:func:`repro.marketplace.orchestrator.simulate_answers`), so a shard can
 draw its campaigns' answers without consulting the parent registry.
 """
 
@@ -91,25 +91,26 @@ class _ShardAnswerBook:
         self._handle = handle
 
     def answer(self, worker_id: str, task: Task, campaign: str) -> bool:
+        return self.answers([(worker_id, task)], campaign)[0]
+
+    def answers(self, pairs: Sequence[Tuple[str, Task]], campaign: str) -> List[bool]:
         # Import here: orchestrator imports this module lazily from run(),
         # and this module must stay importable before orchestrator finishes
         # loading during that dance.
-        from repro.marketplace.orchestrator import simulate_answer
+        from repro.marketplace.orchestrator import simulate_answers
 
         handle = self._handle
-        wire = handle._wire[worker_id]
-        count = handle._answer_counts.get(worker_id, 0)
-        handle._answer_counts[worker_id] = count + 1
-        return simulate_answer(
+        counts: List[int] = []
+        for worker_id, _ in pairs:
+            count = handle._answer_counts.get(worker_id, 0)
+            handle._answer_counts[worker_id] = count + 1
+            counts.append(count)
+        return simulate_answers(
             handle._answer_seed,
-            worker_id,
             campaign,
-            task,
-            behavior=wire.behavior,
-            target_domain=wire.target_domain,
-            accuracies=wire.accuracies,
-            exposure_offset=wire.exposure_offset,
-            answer_count=count,
+            [handle._wire[worker_id] for worker_id, _ in pairs],
+            [task for _, task in pairs],
+            counts,
         )
 
 

@@ -63,13 +63,18 @@ def behavior_accuracy_matrix(behaviors: Sequence[WorkerBehavior], exposures: np.
     behaviors:
         ``W`` worker behaviours, in row order.
     exposures:
-        ``(W, P)`` matrix of training exposures to evaluate.
+        ``(W, P)`` matrix of training exposures to evaluate; every entry
+        must be finite and non-negative (``ValueError`` otherwise).
     """
     exposures = np.asarray(exposures, dtype=float)
     if exposures.ndim != 2 or exposures.shape[0] != len(behaviors):
         raise ValueError(
             f"exposures must have shape ({len(behaviors)}, P), got {exposures.shape}"
         )
+    # The same domain as WorkerBehavior.accuracy_at: a NaN accuracy would
+    # silently turn every Bernoulli draw into a wrong answer.
+    if not np.all((exposures >= 0.0) & (exposures < np.inf)):
+        raise ValueError("exposures must be finite and non-negative")
     result = np.empty_like(exposures)
     groups: Dict[Type[WorkerBehavior], List[int]] = {}
     for index, behavior in enumerate(behaviors):

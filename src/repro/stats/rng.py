@@ -120,7 +120,7 @@ def token_hashes(tokens: Sequence[object]) -> np.ndarray:
     return np.asarray([_stable_token_hash(token) for token in tokens], dtype=np.uint64)
 
 
-def counter_uniforms(seeds: object, n_draws: int, offset: int = 0) -> np.ndarray:
+def counter_uniforms(seeds: object, n_draws: int, offset: object = 0) -> np.ndarray:
     """Uniform(0, 1) draws ``offset .. offset + n_draws - 1`` of each stream.
 
     Returns a ``(len(seeds), n_draws)`` float64 matrix whose row ``i``
@@ -128,14 +128,31 @@ def counter_uniforms(seeds: object, n_draws: int, offset: int = 0) -> np.ndarray
     stream seeded by ``seeds[i]``.  Because each draw is a pure function of
     ``(seed, index)``, requesting a stream in batches (the reference answer
     engine) or as one block (the vectorized engine) yields identical values.
+
+    ``offset`` is one non-negative integer shared by every stream, or an
+    integer array with one offset per stream (row ``i`` then starts at
+    ``offset[i]``).  The index arithmetic is ``uint64`` either way, so a
+    per-stream call equals the scalar-offset calls row by row, bit for bit.
     """
     if n_draws < 0:
         raise ValueError(f"n_draws must be non-negative, got {n_draws}")
-    if offset < 0:
-        raise ValueError(f"offset must be non-negative, got {offset}")
     seed_column = np.atleast_1d(np.asarray(seeds, dtype=np.uint64))[:, None]
-    indices = np.arange(offset + 1, offset + n_draws + 1, dtype=np.uint64) * np.uint64(_GAMMA)
-    bits = _mix64(seed_column + indices[None, :])
+    if np.ndim(offset) == 0:
+        if offset < 0:
+            raise ValueError(f"offset must be non-negative, got {offset}")
+        indices = np.arange(offset + 1, offset + n_draws + 1, dtype=np.uint64)[None, :]
+    else:
+        offsets = np.asarray(offset)
+        if offsets.shape != (seed_column.shape[0],):
+            raise ValueError(
+                f"per-stream offsets must have shape ({seed_column.shape[0]},), got {offsets.shape}"
+            )
+        if offsets.size and not np.issubdtype(offsets.dtype, np.integer):
+            raise TypeError(f"offsets must be integers, got dtype {offsets.dtype}")
+        if np.any(offsets < 0):
+            raise ValueError("offsets must be non-negative")
+        indices = offsets.astype(np.uint64)[:, None] + np.arange(1, n_draws + 1, dtype=np.uint64)
+    bits = _mix64(seed_column + indices * np.uint64(_GAMMA))
     # Top 53 bits -> uniform in [0, 1), the standard double construction.
     return (bits >> np.uint64(11)).astype(np.float64) * (2.0**-53)
 

@@ -50,6 +50,7 @@ feedback arrives.
 from __future__ import annotations
 
 import abc
+import math
 from typing import Dict
 
 import numpy as np
@@ -125,8 +126,9 @@ class WorkerBehavior(abc.ABC):
 
     def accuracy_at(self, exposure: float) -> float:
         """Latent target-domain accuracy after ``exposure`` revealed learning tasks."""
-        if exposure < 0:
-            raise ValueError("exposure must be non-negative")
+        if not 0.0 <= exposure < math.inf:
+            # NaN fails both comparisons, so NaN, inf and negatives all land here.
+            raise ValueError(f"exposure must be finite and non-negative, got {exposure}")
         params = {key: np.asarray([value], dtype=float) for key, value in self.curve_params().items()}
         return float(type(self).batch_accuracy(params, np.asarray([[float(exposure)]]))[0, 0])
 

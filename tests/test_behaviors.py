@@ -175,6 +175,35 @@ class TestContaminationBehaviors:
         np.testing.assert_array_equal(matrix[1], [0.5, 0.5])
 
 
+BAD_EXPOSURES = [-1.0, -1e-9, float("nan"), float("inf"), float("-inf")]
+
+
+class TestExposureValidation:
+    """Both curve paths reject exposures outside [0, inf) instead of returning NaN."""
+
+    @pytest.mark.parametrize("exposure", BAD_EXPOSURES)
+    def test_scalar_curve_rejects_non_finite_or_negative_exposure(self, exposure):
+        worker = LearningWorker(make_profile("w0"), initial_accuracy=0.6, learning_rate=0.3)
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            worker.accuracy_at(exposure)
+
+    @pytest.mark.parametrize("exposure", BAD_EXPOSURES)
+    def test_batched_curve_rejects_non_finite_or_negative_exposure(self, exposure):
+        behaviors = [
+            LearningWorker(make_profile("w0"), initial_accuracy=0.6, learning_rate=0.3),
+            SpammerWorker(make_profile("w1")),
+        ]
+        exposures = np.array([[0.0, 3.0], [1.0, exposure]])
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            behavior_accuracy_matrix(behaviors, exposures)
+
+    def test_zero_and_large_finite_exposures_accepted(self):
+        worker = LearningWorker(make_profile("w0"), initial_accuracy=0.6, learning_rate=0.3)
+        matrix = behavior_accuracy_matrix([worker], np.array([[0.0, 1e300]]))
+        assert matrix.tolist() == [[worker.accuracy_at(0.0), worker.accuracy_at(1e300)]]
+        assert behavior_accuracy_matrix([], np.zeros((0, 3))).shape == (0, 3)
+
+
 class TestStatisticalRegression:
     """Per-round answer means must match latent accuracies for every behaviour."""
 
